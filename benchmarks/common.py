@@ -13,7 +13,9 @@ printed tables are the reproduction artefacts.
 
 from __future__ import annotations
 
+import json
 from functools import lru_cache
+from pathlib import Path
 
 from repro.core.exploration import ExplorationEngine, ExplorationSettings
 from repro.core.space import compact_parameter_space, default_parameter_space
@@ -84,6 +86,24 @@ def vtc_engine(sample: int | None = FULL_SPACE_SAMPLE, compact: bool = False):
         settings=settings,
         energy_model=energy_model,
     )
+
+
+#: Repository root, where the committed ``BENCH_*.json`` records live.
+REPO_ROOT = Path(__file__).resolve().parent.parent
+
+
+def write_bench_record(filename: str, document: dict, committed: bool) -> None:
+    """Write a benchmark's JSON record.
+
+    Only the dedicated runs (``BENCH_*_FULL=1`` or ``--benchmark-only``)
+    rewrite the committed record in the repository root; quick-mode runs,
+    including a plain ``pytest``, write to the git-ignored ``.benchmarks/``.
+    """
+    directory = REPO_ROOT if committed else REPO_ROOT / ".benchmarks"
+    directory.mkdir(exist_ok=True)
+    path = directory / filename
+    path.write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")
+    print(f"\nwrote {path}")
 
 
 def print_table(title: str, rows: list[tuple], header: tuple) -> None:

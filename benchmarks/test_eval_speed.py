@@ -20,9 +20,11 @@ across the three generations that exist in this repository:
 All generations must produce byte-identical metrics; the headline targets
 are **fast ≥ 5× seed** on the replay microbenchmark and **batched ≥ 10×
 single fast** per point on the exhaustive compact-space sweep.  Results are
-written to ``BENCH_eval.json`` in the repository root — the baseline future
-performance PRs are measured against; the CI bench-smoke job asserts the
-``batched.identical_metrics`` flag and uploads the file as an artifact.
+written to ``BENCH_eval.json`` — by the dedicated and full runs in the
+repository root, the baseline future performance PRs are measured against;
+by quick runs in the git-ignored ``.benchmarks/``.  The CI bench-smoke job
+asserts the ``batched.identical_metrics`` flag and uploads the file as an
+artifact.
 
 Sizing: 30 000 Easyport packets (8 000 for the sweep) in dedicated
 benchmark runs (``--benchmark-only``), 12 000 (2 000) in plain test /
@@ -36,7 +38,6 @@ from __future__ import annotations
 import json
 import os
 import time
-from pathlib import Path
 
 import pytest
 
@@ -54,10 +55,7 @@ from repro.profiling.profiler import Profiler, ProfilerOptions
 from repro.workloads.easyport import EasyportWorkload
 
 from ._seed_replay import SeedProfiler, seedify_allocator
-from .common import SEED, print_table
-
-#: Where the machine-readable results land (repository root).
-BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_eval.json"
+from .common import SEED, print_table, write_bench_record
 
 #: The replay-loop speedup the columnar fast path must deliver over the
 #: seed implementation (the PR 5 acceptance target).
@@ -99,8 +97,7 @@ def write_bench_json(request):
         "seed": SEED,
         **_RESULTS,
     }
-    BENCH_PATH.write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")
-    print(f"\nwrote {BENCH_PATH}")
+    write_bench_record("BENCH_eval.json", document, dedicated or _FULL_ENV)
 
 
 #: ``BENCH_EVAL_FULL=1`` runs the full (dedicated-size, target-asserting)

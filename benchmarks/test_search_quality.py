@@ -19,8 +19,9 @@ directly:
    process-pool backend; the two databases must be byte-identical (the
    determinism contract), a flag the CI bench job hard-gates.
 
-Results are written to ``BENCH_search.json`` in the repository root; the
-CI bench-smoke job uploads it as an artifact.  Plain pytest runs the
+Results are written to ``BENCH_search.json`` — in the repository root for
+the full run, in the git-ignored ``.benchmarks/`` otherwise; the CI
+bench-smoke job uploads it as an artifact.  Plain pytest runs the
 synthetic-workload space; ``BENCH_SEARCH_FULL=1`` — ``make
 bench-search-full`` — additionally grinds the real VTC decoder trace
 through the same protocol (a full exhaustive sweep of its space).
@@ -30,10 +31,8 @@ Run with ``pytest benchmarks/test_search_quality.py -s``.
 
 from __future__ import annotations
 
-import json
 import os
 import time
-from pathlib import Path
 
 import pytest
 
@@ -44,10 +43,7 @@ from repro.core.space import STANDARD_SPACES
 from repro.core.strategies import NSGA2Search, SurrogateSearch, TPESearch
 from repro.workloads.synthetic import UniformRandomWorkload
 
-from .common import SEED, print_table, vtc_trace
-
-#: Where the machine-readable results land (repository root).
-BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_search.json"
+from .common import SEED, print_table, vtc_trace, write_bench_record
 
 #: ``BENCH_SEARCH_FULL=1`` adds the real VTC decoder trace to the protocol.
 _FULL_ENV = bool(os.environ.get("BENCH_SEARCH_FULL"))
@@ -89,8 +85,7 @@ def write_bench_json():
         },
         **_RESULTS,
     }
-    BENCH_PATH.write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")
-    print(f"\nwrote {BENCH_PATH}")
+    write_bench_record("BENCH_search.json", document, _FULL_ENV)
 
 
 def synthetic_trace():

@@ -16,8 +16,9 @@ asserted:
    ``ProfileResult`` is byte-identical to the one-shot in-memory
    compile-and-replay of the same events.
 
-Results are written to ``BENCH_stream.json`` in the repository root; the
-CI bench-smoke job uploads it as an artifact and hard-gates the identity
+Results are written to ``BENCH_stream.json`` — in the repository root for
+the full run, in the git-ignored ``.benchmarks/`` otherwise; the CI
+bench-smoke job uploads it as an artifact and hard-gates the identity
 flag.  Plain pytest runs stream 10⁵ events; ``BENCH_STREAM_FULL=1`` —
 ``make bench-stream-full`` — runs the dedicated 10⁶-event measurement.
 
@@ -47,10 +48,7 @@ from repro.stream import (
     stream_profile,
 )
 
-from .common import SEED, print_table
-
-#: Where the machine-readable results land (repository root).
-BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_stream.json"
+from .common import SEED, print_table, write_bench_record
 
 #: ``BENCH_STREAM_FULL=1`` switches to the dedicated 10⁶-event log.
 _FULL_ENV = bool(os.environ.get("BENCH_STREAM_FULL"))
@@ -101,8 +99,7 @@ def write_bench_json():
         "peak_budget_bytes": PEAK_BUDGET,
         **_RESULTS,
     }
-    BENCH_PATH.write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")
-    print(f"\nwrote {BENCH_PATH}")
+    write_bench_record("BENCH_stream.json", document, _FULL_ENV)
 
 
 def write_log(path: Path, operations: int) -> int:

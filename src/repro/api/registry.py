@@ -58,7 +58,6 @@ from ..core.exploration import ProcessPoolBackend, SerialBackend
 from ..core.search import (
     DEFAULT_PRUNE_FRACTION,
     DEFAULT_SEARCH_BUDGET,
-    EvolutionarySearch,
     HillClimbSearch,
     RandomSearch,
     SearchBudget,
@@ -374,12 +373,6 @@ def _populate() -> None:
         search_strategy_factory(HillClimbSearch),
         defaults={"budget": DEFAULT_SEARCH_BUDGET},
         description="steepest-descent hill climbing with random restarts",
-    )
-    strategies.register(
-        "evolutionary",
-        search_strategy_factory(EvolutionarySearch),
-        defaults={"budget": DEFAULT_SEARCH_BUDGET},
-        description="(mu + lambda) evolutionary search, Pareto-rank selection",
     )
     strategies.register(
         "nsga2",

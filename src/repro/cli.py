@@ -45,7 +45,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import warnings
 from pathlib import Path
 
 from .api import registry
@@ -84,38 +83,6 @@ LIST_KINDS = {
     "stores": registry.stores,
     "services": registry.services,
 }
-
-
-def __getattr__(name: str):
-    """Deprecation shims for the pre-spec module-level registries.
-
-    ``WORKLOADS``/``SPACES``/``HIERARCHIES`` were plain name→factory dicts
-    and ``STRATEGIES`` a tuple of names; they now live in
-    :mod:`repro.api.registry`.  The shims keep old imports working (one
-    snapshot per access — later third-party registrations appear on the
-    next access).
-    """
-    shims = {
-        "WORKLOADS": lambda: {
-            entry.name: (lambda e=entry: e.create())
-            for entry in registry.workloads.items()
-        },
-        "SPACES": lambda: {
-            entry.name: entry.factory for entry in registry.spaces.items()
-        },
-        "HIERARCHIES": lambda: {
-            entry.name: entry.factory for entry in registry.hierarchies.items()
-        },
-        "STRATEGIES": lambda: tuple(registry.strategies.names()),
-    }
-    if name in shims:
-        warnings.warn(
-            f"repro.cli.{name} is deprecated; use repro.api.registry instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return shims[name]()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _jobs_count(text: str) -> int:

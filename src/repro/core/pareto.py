@@ -168,8 +168,8 @@ def pareto_rank(vectors: Sequence[Sequence[float]]) -> list[int]:
 
     Rank ``k`` means the vector becomes non-dominated once all vectors of
     rank < ``k`` are removed — the standard NSGA-style layering, useful for
-    the evolutionary search extension and for reporting "how far from
-    optimal" a configuration is.
+    the TPE good-vs-rest split and for reporting "how far from optimal" a
+    configuration is.
     """
     remaining = list(range(len(vectors)))
     ranks = [0] * len(vectors)

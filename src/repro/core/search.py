@@ -2,16 +2,16 @@
 
 The paper explores the space exhaustively (its spaces are enumerable in a
 night of simulation).  For larger spaces, or when the designer wants a
-preview before committing to a full run, this module provides three
+preview before committing to a full run, this module provides two
 classic design-space-exploration strategies that reuse the same
 point-evaluation machinery as the exhaustive engine:
 
-* :class:`RandomSearch`        — uniform sampling of the space.
-* :class:`HillClimbSearch`     — local search mutating one parameter at a
-                                 time, restarted from random points.
-* :class:`EvolutionarySearch`  — a small (mu + lambda) evolutionary
-                                 algorithm with Pareto-rank selection, the
-                                 standard tool for multi-objective DSE.
+* :class:`RandomSearch`     — uniform sampling of the space.
+* :class:`HillClimbSearch`  — local search mutating one parameter at a
+                              time, restarted from random points.
+
+The multi-objective evolutionary and model-based strategies (NSGA-II, TPE,
+the random-forest surrogate) live in :mod:`repro.core.strategies`.
 
 All strategies return a :class:`ResultDatabase`, so the downstream Pareto /
 trade-off / reporting code is identical to the exhaustive path.
@@ -64,7 +64,7 @@ from dataclasses import dataclass
 
 from ..profiling.metrics import metric_keys
 from .exploration import ExplorationEngine
-from .pareto import IncrementalParetoFront, pareto_rank
+from .pareto import IncrementalParetoFront
 from .results import ExplorationRecord, ResultDatabase, ResultSink
 
 #: Default evaluation budget of a heuristic search.  This is the single
@@ -458,92 +458,4 @@ class HillClimbSearch(SearchStrategy):
                 current_point = self._random_point()
                 current = self._evaluate(current_point, database)
                 current_score = self._score(current, scales)
-            stalled = stalled + 1 if self.evaluations_used == used_before else 0
-
-
-class EvolutionarySearch(SearchStrategy):
-    """(mu + lambda) evolutionary search with Pareto-rank selection."""
-
-    name = "evolutionary"
-
-    def __init__(
-        self,
-        engine: ExplorationEngine,
-        budget: SearchBudget | None = None,
-        metrics: list[str] | None = None,
-        population: int = 16,
-        offspring: int = 16,
-        mutation_rate: float = 0.3,
-        prune: bool = False,
-        prune_fraction: float = DEFAULT_PRUNE_FRACTION,
-    ) -> None:
-        super().__init__(engine, budget, metrics, prune, prune_fraction)
-        if population <= 1 or offspring <= 0:
-            raise ValueError("population must be > 1 and offspring > 0")
-        self.population_size = population
-        self.offspring_size = offspring
-        self.mutation_rate = mutation_rate
-
-    def _select(self, records: list[ExplorationRecord]) -> list[ExplorationRecord]:
-        """Keep the best ``population_size`` records by Pareto rank, then by
-        the first metric as a tiebreaker."""
-        vectors = [record.metric_vector(self.metrics) for record in records]
-        ranks = pareto_rank(vectors)
-        order = sorted(
-            range(len(records)),
-            key=lambda i: (ranks[i], vectors[i][0]),
-        )
-        return [records[i] for i in order[: self.population_size]]
-
-    def _search(self, database: ResultDatabase) -> None:
-        population: list[tuple[dict, ExplorationRecord]] = []
-        stalled = 0
-        while (
-            len(population) < self.population_size
-            and self.budget_left
-            and stalled < self.max_stalled_generations
-        ):
-            used_before = self.evaluations_used
-            seeds = [
-                self._random_point()
-                for _ in range(self.population_size - len(population))
-            ]
-            seeds = self._prune_candidates(seeds)
-            seeds = self._within_budget(seeds)
-            if not seeds:
-                if not self.prune:
-                    break
-                # Every seed was pruned: draw a fresh batch (bounded by the
-                # stall counter) instead of giving up on the population.
-                stalled += 1
-                continue
-            records = self._evaluate_batch(seeds, database)
-            population.extend(zip(seeds, records))
-            stalled = stalled + 1 if self.evaluations_used == used_before else 0
-        while self.budget_left and len(population) >= 2 and stalled < self.max_stalled_generations:
-            used_before = self.evaluations_used
-            child_points = []
-            for _ in range(self.offspring_size):
-                first, second = self.rng.sample(population, 2)
-                child_point = self._crossover(first[0], second[0])
-                if self.rng.random() < self.mutation_rate:
-                    child_point = self._mutate(child_point)
-                child_points.append(child_point)
-            child_points = self._prune_candidates(child_points)
-            child_points = self._within_budget(child_points)
-            if not child_points:
-                if not self.prune:
-                    break
-                # A fully pruned generation still counts against the stall
-                # limit, so a converged search terminates rather than spins.
-                stalled += 1
-                continue
-            child_records = self._evaluate_batch(child_points, database)
-            offspring = list(zip(child_points, child_records))
-            combined = population + offspring
-            selected_records = self._select([record for _point, record in combined])
-            selected_ids = {id(record) for record in selected_records}
-            population = [
-                (point, record) for point, record in combined if id(record) in selected_ids
-            ][: self.population_size]
             stalled = stalled + 1 if self.evaluations_used == used_before else 0

@@ -2,8 +2,8 @@
 
 The reference algorithm for multi-objective evolutionary search (Deb et
 al., 2002), and the workhorse of allocator design-space exploration in the
-parallel-EA DMM literature.  Three ingredients distinguish it from the
-plain :class:`~repro.core.search.EvolutionarySearch`:
+parallel-EA DMM literature.  Three ingredients distinguish it from a
+plain (mu + lambda) evolutionary search with Pareto-rank selection:
 
 * :func:`fast_non_dominated_sort` layers the population into fronts with
   one O(N²) domination-count pass (instead of recomputing the batch front

@@ -43,7 +43,8 @@ reject       c -> w     hello refused (mismatched ``spec_hash``)
 request      w -> c     give me work
 lease        c -> w     evaluate ``[start, stop)`` under ``lease_id``
 wait         w -> c     nothing leasable now; poll again shortly
-done         c -> w     the sweep is complete; disconnect
+done         c -> w     the sweep is complete; disconnect (also the
+                        answer to a ``hello`` that arrives after it)
 heartbeat    w -> c     still evaluating ``lease_id``
 ack          c -> w     heartbeat/completion accepted
 expired      c -> w     the lease was re-assigned; abandon it
@@ -78,8 +79,10 @@ DEFAULT_LEASE_TIMEOUT = 30.0
 #: timeout window, so one dropped beat never expires a healthy worker.
 HEARTBEAT_FRACTION = 6.0
 
-#: Seconds the coordinator keeps answering ``done`` after the sweep
-#: finished, so workers mid-request disconnect cleanly.
+#: Seconds the coordinator keeps listening after the sweep finished,
+#: answering ``done`` to workers mid-request and to late joiners alike, so
+#: a worker that arrives just after the last range completed exits cleanly
+#: instead of finding the port closed.
 DRAIN_GRACE = 2.0
 
 
@@ -391,6 +394,12 @@ class Coordinator:
             return
         connection.worker = worker
         connection.greeted = True
+        if self._verified:
+            # A late joiner: the spec hash was still checked above, but
+            # there is no work left to resolve the spec for.
+            self.log(f"coordinator: worker {worker} joined after the sweep; done")
+            self._send(connection, {"type": "done"})
+            return
         self.stats["workers_seen"].add(worker)
         self.log(f"coordinator: worker {worker} joined")
         self._send(
@@ -583,13 +592,19 @@ class Coordinator:
         return database
 
     def _broadcast_done(self) -> None:
-        """Tell every connected worker to disconnect, then drain briefly."""
+        """Tell every connected worker to disconnect, then linger.
+
+        The listener stays open for the whole :data:`DRAIN_GRACE` window,
+        even once no worker is connected: elastic membership means another
+        worker may be starting right now, and it should be told ``done``
+        rather than find the port closed.
+        """
         assert self._selector is not None
         for connection in list(self._connections.values()):
             if connection.greeted:
                 self._send(connection, {"type": "done"})
         deadline = time.monotonic() + DRAIN_GRACE
-        while self._connections and time.monotonic() < deadline:
+        while time.monotonic() < deadline:
             for key, _mask in self._selector.select(0.05):
                 if key.fileobj is self._listener:
                     self._accept()

@@ -26,6 +26,11 @@ Fault behaviour, all inherited from existing machinery rather than added:
   specs on diverged code would silently produce non-reproducible metrics
   otherwise.
 
+Joining is forgiving in both directions: a refused connection is retried
+with bounded backoff, so a worker may start before its coordinator
+listens, and a worker that joins after the sweep finished (while the
+coordinator lingers) is answered ``done`` and exits cleanly.
+
 Exit codes (the harness and CI scripts key off these): 0 sweep done, 2
 rejected by the coordinator, 3 connection lost / protocol error, 4
 resolved fingerprint differs from the coordinator's.
@@ -45,6 +50,12 @@ EXIT_DONE = 0
 EXIT_REJECTED = 2
 EXIT_CONNECTION = 3
 EXIT_FINGERPRINT = 4
+
+#: Seconds a worker keeps retrying to reach a coordinator that refuses the
+#: connection (not listening yet, or restarting), with the pause between
+#: attempts doubling from :data:`JOIN_RETRY_FIRST` up to one second.
+JOIN_RETRY_WINDOW = 10.0
+JOIN_RETRY_FIRST = 0.05
 
 
 def _print_flushed(line: str) -> None:
@@ -125,6 +136,10 @@ class Worker:
             )
             self._close()
             return EXIT_REJECTED
+        if welcome.get("type") == "done":
+            self.log(f"{self.name}: sweep already complete; nothing to do")
+            self._close()
+            return EXIT_DONE
         spec = ExperimentSpec.from_dict(welcome["spec"])
         self.heartbeat_interval = float(welcome.get("heartbeat_interval", 5.0))
         resolved = self._resolve(spec)
@@ -144,7 +159,7 @@ class Worker:
             self._close()
 
     def _join(self) -> dict:
-        self._sock = socket.create_connection(self.address, timeout=None)
+        self._sock = self._connect()
         send_message(
             self._sock,
             {
@@ -154,6 +169,20 @@ class Worker:
             },
         )
         return self._recv()
+
+    def _connect(self) -> socket.socket:
+        """Connect to the coordinator, retrying refusals with backoff."""
+        deadline = time.monotonic() + JOIN_RETRY_WINDOW
+        pause = JOIN_RETRY_FIRST
+        while True:
+            try:
+                return socket.create_connection(self.address, timeout=None)
+            except ConnectionRefusedError:
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
+                    raise
+                time.sleep(min(pause, remaining))
+                pause = min(pause * 2, 1.0)
 
     def _resolve(self, spec: ExperimentSpec) -> ResolvedExperiment:
         self._resolved = Experiment(spec).resolve()

@@ -36,12 +36,18 @@ kind                   role         fault injected
                                     stalled, so the lease expires and the
                                     range is re-leased; the late completion
                                     must still be tolerated)
+``delay-join``         worker       announce readiness, then hold the
+                                    ``hello`` until the process receives
+                                    SIGUSR1 (the test decides exactly when
+                                    the worker joins, e.g. after the sweep
+                                    finished)
 ``delay-ack:SECONDS``  coordinator  sleep before sending every ``ack``
 =====================  ===========  ========================================
 
 The chaos classes subclass the production :class:`Worker` /
 :class:`Coordinator` and override only the designated seams
-(``_lease_complete``, ``_send_heartbeat``, ``_prepare_store``, ``_send``)
+(``_join``, ``_lease_complete``, ``_send_heartbeat``, ``_prepare_store``,
+``_send``)
 — the protocol and state machines under test are the production ones.
 """
 
@@ -155,6 +161,21 @@ class StallingWorker(Worker):
         super()._lease_complete(lease_id)
 
 
+class DelayJoinWorker(Worker):
+    """Hold the join until SIGUSR1: the test forces the join order."""
+
+    HOLDING = "chaos: holding join until SIGUSR1"
+
+    def _join(self) -> dict:
+        released = threading.Event()
+        signal.signal(signal.SIGUSR1, lambda *_args: released.set())
+        self.log(f"{self.name}: {self.HOLDING}")
+        while not released.wait(0.1):
+            pass
+        self.log(f"{self.name}: chaos: joining")
+        return super()._join()
+
+
 class DelayAckCoordinator(Coordinator):
     """Sleep before every ``ack`` (slow-coordinator latency injection)."""
 
@@ -218,6 +239,8 @@ def _run_worker(args: argparse.Namespace) -> int:
         worker = TornWriteWorker(address, fatal_put=int(amount), **options)
     elif kind == "stall":
         worker = StallingWorker(address, stall=amount, **options)
+    elif kind == "delay-join":
+        worker = DelayJoinWorker(address, **options)
     elif kind:
         raise SystemExit(f"unknown worker chaos kind {kind!r}")
     else:
@@ -316,6 +339,10 @@ class ManagedProcess:
         code = self.process.wait(timeout=timeout)
         self._pump.join(timeout=5.0)
         return code
+
+    def signal(self, signum: int) -> None:
+        """Deliver ``signum`` to the (still running) process."""
+        self.process.send_signal(signum)
 
     def kill(self) -> None:
         if self.process.poll() is None:

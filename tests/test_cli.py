@@ -25,9 +25,9 @@ class TestParser:
             registry.spaces
         )
         assert {"2level", "3level"} <= set(registry.hierarchies)
-        assert {"exhaustive", "random", "hillclimb", "evolutionary"} <= set(
-            registry.strategies
-        )
+        assert {
+            "exhaustive", "random", "hillclimb", "nsga2", "tpe", "surrogate"
+        } <= set(registry.strategies)
 
 
 class TestCommands:

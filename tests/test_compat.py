@@ -1,9 +1,7 @@
 """Backwards-compatibility guarantees of the experiment-API redesign.
 
 Every symbol the ``repro`` package exported before the declarative API
-landed must still import and work, so downstream scripts keep running; the
-CLI module's old registry globals keep working through deprecation shims
-that warn.
+landed must still import and work, so downstream scripts keep running.
 """
 
 import warnings
@@ -90,33 +88,6 @@ class TestPackageSurface:
 
 
 class TestCliShims:
-    def test_workloads_shim_warns_and_builds(self):
-        with pytest.warns(DeprecationWarning, match="repro.cli.WORKLOADS"):
-            from repro.cli import WORKLOADS
-        workload = WORKLOADS["easyport"]()
-        # The shim reproduces the old hard-coded factory (4000 packets).
-        assert workload.packets == 4000
-        assert set(WORKLOADS) == set(repro.api.registry.workloads.names())
-
-    def test_spaces_shim_warns_and_builds(self):
-        with pytest.warns(DeprecationWarning, match="repro.cli.SPACES"):
-            from repro.cli import SPACES
-        assert {"default", "compact", "smoke"} <= set(SPACES)
-        assert SPACES["smoke"]().size() > 0
-
-    def test_hierarchies_shim_warns_and_builds(self):
-        with pytest.warns(DeprecationWarning, match="repro.cli.HIERARCHIES"):
-            from repro.cli import HIERARCHIES
-        assert {"2level", "3level"} <= set(HIERARCHIES)
-        assert len(HIERARCHIES["2level"]()) == 2
-
-    def test_strategies_shim_warns(self):
-        with pytest.warns(DeprecationWarning, match="repro.cli.STRATEGIES"):
-            from repro.cli import STRATEGIES
-        assert {"exhaustive", "random", "hillclimb", "evolutionary"} <= set(
-            STRATEGIES
-        )
-
     def test_unknown_cli_attribute_still_raises(self):
         import repro.cli
 

@@ -4,8 +4,10 @@ Everything here runs in-process (threads and socketpairs, no subprocesses):
 the wire protocol, the store primitives the service is built on
 (``refresh`` / ``missing_points``), range evaluation, the ``serve`` spec
 surface, the coordinator's spec gates, and a complete coordinator+worker
-sweep including the spec-hash rejection path.  The multi-process fault
-matrix lives in ``test_distrib_cluster.py``.
+sweep including the spec-hash rejection path and both ends of the join
+lifecycle (a worker started before its coordinator, one arriving after
+the sweep).  The multi-process fault matrix lives in
+``test_distrib_cluster.py``.
 """
 
 import socket
@@ -33,7 +35,9 @@ from repro.distrib import (
     send_message,
 )
 from repro.distrib.coordinator import auto_lease_size
+from repro.distrib import worker as worker_module
 from repro.distrib.worker import (
+    EXIT_CONNECTION,
     EXIT_DONE,
     EXIT_REJECTED,
 )
@@ -319,6 +323,68 @@ class TestInProcessCluster:
         assert database.provenance.shard == ""
         assert coordinator.stats["leases_granted"] >= 3
         assert coordinator.stats["workers_seen"] == {"matching"}
+
+    def test_late_joiner_is_told_done_and_still_spec_checked(self, tmp_path):
+        coordinator, thread = self.start_coordinator(tmp_path, lease_size=8)
+        quiet = lambda line: None  # noqa: E731
+        assert Worker(coordinator.address, name="w1", log=quiet).run() == EXIT_DONE
+        # The sweep is over, but the coordinator lingers: a late worker
+        # exits cleanly instead of finding the port closed...
+        assert coordinator.database is not None
+        late = Worker(coordinator.address, name="late", log=quiet)
+        assert late.run() == EXIT_DONE
+        assert late.leases_completed == 0
+        # ...and a mismatched one is still turned away.
+        imposter = Worker(
+            coordinator.address,
+            spec_hash=smoke_spec(seed=2).spec_hash(),
+            name="imposter",
+            log=quiet,
+        )
+        assert imposter.run() == EXIT_REJECTED
+        thread.join(timeout=30)
+        assert not thread.is_alive()
+        assert coordinator.stats["workers_seen"] == {"w1"}
+        assert len(coordinator.database) == 8
+
+    def test_worker_started_before_the_coordinator_retries_the_join(
+        self, tmp_path
+    ):
+        probe = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        probe.bind(("127.0.0.1", 0))
+        port = probe.getsockname()[1]
+        probe.close()  # nothing listens on the port until the coordinator
+        outcome = {}
+        worker = Worker(("127.0.0.1", port), name="early", log=lambda line: None)
+        early = threading.Thread(
+            target=lambda: outcome.setdefault("code", worker.run()), daemon=True
+        )
+        early.start()
+        threading.Event().wait(0.3)  # the worker's first attempts are refused
+        coordinator = Coordinator(
+            smoke_spec(),
+            host="127.0.0.1",
+            port=port,
+            store_path=str(tmp_path / "store.jsonl"),
+            log=lambda line: None,
+        )
+        service = threading.Thread(target=coordinator.serve, daemon=True)
+        service.start()
+        early.join(timeout=30)
+        assert outcome == {"code": EXIT_DONE}
+        assert worker.leases_completed > 0
+        service.join(timeout=30)
+        assert not service.is_alive()
+        assert len(coordinator.database) == 8
+
+    def test_join_gives_up_after_the_retry_window(self, monkeypatch):
+        monkeypatch.setattr(worker_module, "JOIN_RETRY_WINDOW", 0.3)
+        probe = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        probe.bind(("127.0.0.1", 0))
+        port = probe.getsockname()[1]
+        probe.close()
+        worker = Worker(("127.0.0.1", port), name="orphan", log=lambda line: None)
+        assert worker.run() == EXIT_CONNECTION
 
 
 class TestAutoCompaction:

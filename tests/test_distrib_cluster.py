@@ -11,13 +11,16 @@ same experiment single-host in-process, and asserts the two artefacts are
 * a lease that expires (the worker goes silent) and is re-leased to
   another worker while the original eventually reports late,
 * a worker SIGKILLed *mid-store-append* (a torn write the loader must
-  recover from; the resumed sweep re-evaluates only the lost points).
+  recover from; the resumed sweep re-evaluates only the lost points),
+* a worker that joins only after the sweep finished (it must be told
+  ``done`` and exit cleanly, not find the port closed).
 
 ``make verify-cluster`` runs this file; the CI cluster job selects the
 clean and the killed-worker variants as its matrix.
 """
 
 import re
+import signal
 import sys
 from pathlib import Path
 
@@ -198,3 +201,34 @@ class TestTornWrite:
         store = ResultStore(cluster["store"])
         assert store.corrupt_entries == 1
         assert len(store) == 8
+
+
+class TestLateJoiner:
+    def test_worker_joining_after_the_sweep_exits_cleanly(self, cluster):
+        coordinator, address = harness.spawn_coordinator(
+            cluster["experiment"],
+            store=cluster["store"],
+            out=cluster["out"],
+            lease_size=3,
+        )
+        # w2 is started first but holds its hello until signalled; w1
+        # drains the whole sweep, and only then is w2 released.
+        late = harness.spawn_worker(address, name="w2", chaos="delay-join")
+        early = None
+        try:
+            late.wait_for_line(harness.DelayJoinWorker.HOLDING)
+            early = harness.spawn_worker(address, name="w1")
+            coordinator.wait_for_line(r"sweep complete: 8 records")
+            late.signal(signal.SIGUSR1)
+            assert late.wait() == 0
+            assert early.wait() == 0
+            assert coordinator.wait() == 0
+        finally:
+            coordinator.kill()
+            late.kill()
+            if early is not None:
+                early.kill()
+        assert_byte_identical(cluster)
+        assert "worker w2 joined after the sweep; done" in coordinator.output
+        assert "sweep already complete" in late.output
+        assert "['w1']" in coordinator.output

@@ -287,3 +287,17 @@ class TestLiveRebindingFallback:
         assert profile["oom_failures"] == 1
         assert results[0].per_pool["fixed"]["alloc_ops"] == 2
         assert results[0].per_pool["fixed"]["free_ops"] == 1
+
+    def test_segment_replay_rejects_live_rebinding(self):
+        """A fast session refuses a segment it cannot replay, leaving the
+        allocator untouched; a one-shot fast run of the same trace falls
+        back to the event loop (test_malformed_stream_byte_identical)."""
+        from repro.profiling.profiler import SegmentReplaySession
+
+        allocator, mapping, trace = self.malformed_setup()
+        profiler = Profiler(mapping, options=ProfilerOptions(fast_replay=True))
+        session = SegmentReplaySession(profiler, allocator, name=trace.name)
+        with pytest.raises(ValueError, match="live request id"):
+            session.replay_segment(trace.compiled())
+        assert session.events_seen == 0
+        assert allocator.pools[0].stats.alloc_ops == 0

@@ -19,7 +19,6 @@ from repro.core.exploration import (
     make_backend,
 )
 from repro.core.search import (
-    EvolutionarySearch,
     HillClimbSearch,
     RandomSearch,
     SearchBudget,
@@ -117,11 +116,8 @@ class TestSerialParallelEquivalence:
         [
             lambda engine: RandomSearch(engine, SearchBudget(evaluations=12, seed=7)),
             lambda engine: HillClimbSearch(engine, SearchBudget(evaluations=12, seed=7)),
-            lambda engine: EvolutionarySearch(
-                engine, SearchBudget(evaluations=12, seed=7), population=4, offspring=4
-            ),
         ],
-        ids=["random", "hillclimb", "evolutionary"],
+        ids=["random", "hillclimb"],
     )
     def test_search_trajectories_identical(
         self, small_trace, tmp_path, pool_backend, strategy_factory
@@ -201,14 +197,14 @@ class TestMemoisationCache:
 
     def test_cache_hits_honour_the_submitted_label(self, small_trace):
         """A later caller must not record a point under the first caller's
-        label (e.g. an evolutionary record tagged ``hillclimb_...``)."""
+        label (e.g. an nsga2 record tagged ``hillclimb_...``)."""
         engine = ExplorationEngine(smoke_parameter_space(), small_trace)
         point = engine.space.point_at(0)
         first = engine.evaluate_point(point, "hillclimb_000000")
-        second = engine.evaluate_point(point, "evolutionary_000000")
+        second = engine.evaluate_point(point, "nsga2_000000")
         unlabelled = engine.evaluate_point(point)
         assert first.configuration_id == "hillclimb_000000"
-        assert second.configuration_id == "evolutionary_000000"
+        assert second.configuration_id == "nsga2_000000"
         assert unlabelled.configuration_id == "hillclimb_000000"  # cached label kept
         assert first.metrics == second.metrics
 
@@ -333,7 +329,6 @@ class TestRegistryStrategiesBackendIdentity:
         "exhaustive": {},
         "random": {},
         "hillclimb": {},
-        "evolutionary": {"population": 4, "offspring": 4},
         "nsga2": {"population": 4, "offspring": 4},
         "tpe": {"startup": 4, "batch": 4, "candidates": 16},
         "surrogate": {

@@ -5,7 +5,6 @@ import pytest
 from repro.core.exploration import ExplorationEngine
 from repro.core.pareto import dominates
 from repro.core.search import (
-    EvolutionarySearch,
     HillClimbSearch,
     RandomSearch,
     SearchBudget,
@@ -64,40 +63,6 @@ class TestHillClimbSearch:
         best_found = min(record.metrics.accesses for record in database)
         worst_exhaustive = max(record.metrics.accesses for record in exhaustive)
         assert best_found <= worst_exhaustive
-
-
-class TestEvolutionarySearch:
-    def test_respects_budget(self, engine):
-        search = EvolutionarySearch(
-            engine, SearchBudget(evaluations=20, seed=5), population=6, offspring=6
-        )
-        database = search.run()
-        assert len(database) <= 20
-
-    def test_front_quality_not_worse_than_random(self, engine):
-        budget = 24
-        random_db = RandomSearch(engine, SearchBudget(evaluations=budget, seed=6)).run()
-        evo_db = EvolutionarySearch(
-            engine, SearchBudget(evaluations=budget, seed=6), population=6, offspring=6
-        ).run()
-        # The evolutionary front must not be strictly dominated by the random
-        # front on the accesses/footprint plane.
-        evo_front = evo_db.pareto_records(["accesses", "footprint"])
-        random_front = random_db.pareto_records(["accesses", "footprint"])
-        assert evo_front
-        fully_dominated = all(
-            any(
-                dominates(r.metric_vector(["accesses", "footprint"]),
-                          e.metric_vector(["accesses", "footprint"]))
-                for r in random_front
-            )
-            for e in evo_front
-        )
-        assert not fully_dominated
-
-    def test_invalid_population(self, engine):
-        with pytest.raises(ValueError):
-            EvolutionarySearch(engine, population=1, offspring=0)
 
 
 class TestSearchInternals:

@@ -166,6 +166,9 @@ class TestSegmentedReplayIdentity:
         rng = random.Random(space_name)
         for point in space.sample(3, seed=13):
             reference, reference_alloc = oneshot(trace, point)
+            # The one-shot fast run is itself a single-segment session; the
+            # reference event loop is the independent oracle.
+            loop, loop_alloc = oneshot(trace, point, fast_replay=False)
             for _trial in range(3):
                 offsets = random_cuts(len(trace), rng)
                 streamed, streamed_alloc = segmented(trace, point, offsets)
@@ -173,6 +176,8 @@ class TestSegmentedReplayIdentity:
                 assert allocator_state(streamed_alloc) == allocator_state(
                     reference_alloc
                 )
+                assert result_bytes(streamed) == result_bytes(loop)
+                assert allocator_state(streamed_alloc) == allocator_state(loop_alloc)
 
     def test_single_event_segments(self):
         trace = UniformRandomWorkload(operations=150).generate(seed=3)
@@ -188,10 +193,13 @@ class TestSegmentedReplayIdentity:
         saw_oom = False
         for point in STANDARD_SPACES["default"]().sample(4, seed=2):
             reference, reference_alloc = oneshot(trace, point, hierarchy)
+            loop, loop_alloc = oneshot(trace, point, hierarchy, fast_replay=False)
             offsets = random_cuts(len(trace), rng)
             streamed, streamed_alloc = segmented(trace, point, offsets, hierarchy)
             assert result_bytes(streamed) == result_bytes(reference)
             assert allocator_state(streamed_alloc) == allocator_state(reference_alloc)
+            assert result_bytes(streamed) == result_bytes(loop)
+            assert allocator_state(streamed_alloc) == allocator_state(loop_alloc)
             saw_oom = saw_oom or reference.per_pool["__profile__"]["oom_failures"] > 0
         assert saw_oom, "OOM scenario never triggered; shrink the hierarchy"
 
