@@ -15,7 +15,10 @@ across the three generations that exist in this repository:
 * **batched** — the batch replay engine
   (:class:`repro.profiling.batch.BatchReplayEngine`), which amortises one
   trace sweep across every configuration of an exhaustive sweep by sharing
-  pool-group simulations.
+  pool-group simulations.  A second sweep (``batched_spill``) repeats it on
+  a 2 KiB scratchpad, where dedicated pools spill into the general pool
+  mid-trace; the engine simulates the spills, so it must report zero
+  fallback configurations.
 
 All generations must produce byte-identical metrics; the headline targets
 are **fast ≥ 5× seed** on the replay microbenchmark and **batched ≥ 10×
@@ -23,8 +26,9 @@ single fast** per point on the exhaustive compact-space sweep.  Results are
 written to ``BENCH_eval.json`` — by the dedicated and full runs in the
 repository root, the baseline future performance PRs are measured against;
 by quick runs in the git-ignored ``.benchmarks/``.  The CI bench-smoke job
-asserts the ``batched.identical_metrics`` flag and uploads the file as an
-artifact.
+asserts the ``identical_metrics`` flags of ``batched`` and
+``batched_spill`` (and the latter's zero fallback count) and uploads the
+file as an artifact.
 
 Sizing: 30 000 Easyport packets (8 000 for the sweep) in dedicated
 benchmark runs (``--benchmark-only``), 12 000 (2 000) in plain test /
@@ -65,6 +69,10 @@ TARGET_SPEEDUP_VS_SEED = 5.0
 #: single fast replay on an exhaustive standard-space sweep (the PR 6
 #: acceptance target, asserted in dedicated benchmark runs).
 TARGET_BATCHED_SPEEDUP = 10.0
+
+#: Scratchpad size of the batched spill sweep: small enough that the
+#: compact space's dedicated pools overflow mid-trace and spill.
+SPILL_SCRATCHPAD_BYTES = 2048
 
 #: Representative configuration: dedicated fixed pools for the hot sizes in
 #: the scratchpad in front of a plain general pool — the paper's
@@ -280,21 +288,8 @@ def test_batched_sweep_speedup(benchmark, request):
     events = len(trace)
     hierarchy = embedded_two_level()
     factory = AllocatorFactory(hierarchy)
-    hot_sizes = trace.hot_sizes(top=8)
-    configurations = [
-        configuration_from_point(
-            point,
-            hot_sizes=hot_sizes,
-            scratchpad_module=hierarchy.fastest.name,
-            main_module=hierarchy.background_module.name,
-            label=f"sweep{index:05d}",
-        )
-        for index, point in enumerate(compact_parameter_space().points())
-    ]
+    configurations = _sweep_configurations(trace, hierarchy)
     trace.compiled()  # compile once up front, as an exploration would
-
-    def as_bytes(result):
-        return json.dumps(result.as_dict(), sort_keys=True, default=repr)
 
     # Batched sweep (best of N fresh engines: the engine's group caches are
     # the thing under test, so each round starts cold).
@@ -319,27 +314,11 @@ def test_batched_sweep_speedup(benchmark, request):
     # Single fast replay over the same sweep (one pass; it has no
     # cross-point state to warm).
     start = time.perf_counter()
-    single_results = []
-    for configuration in configurations:
-        built = factory.build(configuration)
-        profiler = Profiler(built.mapping)
-        single_results.append(
-            profiler.run(built.allocator, trace, configuration.configuration_id)
-        )
+    single_results = _single_sweep(factory, configurations, trace)
     single_seconds = time.perf_counter() - start
-
-    identical = all(
-        as_bytes(batched) == as_bytes(single)
-        for batched, single in zip(batched_results, single_results)
+    identical = _identical_to_oracles(
+        batched_results, single_results, factory, configurations, trace
     )
-    # Legacy event-loop oracle on a sample (it is ~2 orders slower than the
-    # batched sweep, so sampling keeps the benchmark runnable).
-    for index in range(0, len(configurations), max(1, len(configurations) // 8)):
-        configuration = configurations[index]
-        built = factory.build(configuration)
-        profiler = Profiler(built.mapping, options=ProfilerOptions(fast_replay=False))
-        legacy = profiler.run(built.allocator, trace, configuration.configuration_id)
-        identical = identical and as_bytes(batched_results[index]) == as_bytes(legacy)
 
     points = len(configurations)
     speedup = single_seconds / batched_seconds
@@ -382,6 +361,107 @@ def test_batched_sweep_speedup(benchmark, request):
     assert speedup >= floor, (
         f"batched sweep is only x{speedup:.2f} over single fast replay "
         f"(target x{floor})"
+    )
+
+    # Spill sweep: the same sweep with a 2 KiB scratchpad, where dedicated
+    # pools overflow mid-trace and spill into the general pool.  The batch
+    # engine simulates the spills itself, so no configuration may fall back
+    # to a single replay.
+    spill_hierarchy = embedded_two_level(scratchpad_size=SPILL_SCRATCHPAD_BYTES)
+    spill_factory = AllocatorFactory(spill_hierarchy)
+    spill_configurations = _sweep_configurations(trace, spill_hierarchy)
+    spill_engine = BatchReplayEngine(trace, spill_factory)
+    start = time.perf_counter()
+    spill_results = spill_engine.run_configurations(spill_configurations)
+    spill_seconds = time.perf_counter() - start
+    start = time.perf_counter()
+    spill_single = _single_sweep(spill_factory, spill_configurations, trace)
+    spill_single_seconds = time.perf_counter() - start
+    spill_identical = _identical_to_oracles(
+        spill_results, spill_single, spill_factory, spill_configurations, trace
+    )
+    spilled_groups = sum(
+        1
+        for group in spill_engine._dedicated_cache.values()
+        if group.spilled is not None
+    )
+    _RESULTS["batched_spill"] = {
+        "space": "compact",
+        "scratchpad_bytes": SPILL_SCRATCHPAD_BYTES,
+        "points": len(spill_configurations),
+        "events": events,
+        "spilled_dedicated_groups": spilled_groups,
+        "batched_s": round(spill_seconds, 3),
+        "single_fast_s": round(spill_single_seconds, 3),
+        "speedup_vs_single_fast": round(spill_single_seconds / spill_seconds, 2),
+        "identical_metrics": spill_identical,
+        "batched_configurations": spill_engine.batched_configurations,
+        "fallback_configurations": spill_engine.fallback_configurations,
+    }
+    print_table(
+        f"Spill sweep: {SPILL_SCRATCHPAD_BYTES} B scratchpad (compact space)",
+        [
+            ("spilled dedicated groups", spilled_groups, "> 0"),
+            ("batched / fallback", f"{spill_engine.batched_configurations} / "
+             f"{spill_engine.fallback_configurations}", "fallback 0"),
+            ("batched sweep", f"{spill_seconds:.2f} s", "-"),
+            ("single fast sweep", f"{spill_single_seconds:.2f} s", "-"),
+            ("identical metrics", spill_identical, "required"),
+        ],
+        ("quantity", "measured", "note"),
+    )
+    assert spilled_groups > 0, "no dedicated pool spilled; shrink the scratchpad"
+    assert spill_identical
+    assert spill_engine.fallback_configurations == 0
+
+
+def _sweep_configurations(trace, hierarchy) -> list:
+    """Every point of the compact space as a configuration on ``hierarchy``."""
+    hot_sizes = trace.hot_sizes(top=8)
+    return [
+        configuration_from_point(
+            point,
+            hot_sizes=hot_sizes,
+            scratchpad_module=hierarchy.fastest.name,
+            main_module=hierarchy.background_module.name,
+            label=f"sweep{index:05d}",
+        )
+        for index, point in enumerate(compact_parameter_space().points())
+    ]
+
+
+def _single_sweep(factory, configurations, trace, fast=True) -> list:
+    """One single replay per configuration."""
+    options = ProfilerOptions(fast_replay=fast)
+    results = []
+    for configuration in configurations:
+        built = factory.build(configuration)
+        profiler = Profiler(built.mapping, options=options)
+        results.append(
+            profiler.run(built.allocator, trace, configuration.configuration_id)
+        )
+    return results
+
+
+def _identical_to_oracles(results, single_results, factory, configurations, trace) -> bool:
+    """Batched results vs the single fast replay on every point and the
+    legacy event loop on a sample (it is ~2 orders slower than the batched
+    sweep, so sampling keeps the benchmark runnable)."""
+
+    def as_bytes(result):
+        return json.dumps(result.as_dict(), sort_keys=True, default=repr)
+
+    identical = all(
+        as_bytes(batched) == as_bytes(single)
+        for batched, single in zip(results, single_results)
+    )
+    sample = range(0, len(configurations), max(1, len(configurations) // 8))
+    legacy = _single_sweep(
+        factory, [configurations[index] for index in sample], trace, fast=False
+    )
+    return identical and all(
+        as_bytes(results[index]) == as_bytes(result)
+        for index, result in zip(sample, legacy)
     )
 
 

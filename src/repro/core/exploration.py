@@ -57,7 +57,7 @@ from typing import Protocol, runtime_checkable
 from ..memhier.energy import EnergyModel
 from ..memhier.hierarchy import MemoryHierarchy, embedded_two_level
 from ..profiling.batch import BatchReplayEngine
-from ..profiling.metrics import metric_keys
+from ..profiling.metrics import ProfileResult, metric_keys
 from ..profiling.profiler import Profiler, ProfilerOptions
 from ..profiling.tracer import AllocationTrace
 from .configuration import AllocatorConfiguration, configuration_from_point
@@ -538,7 +538,7 @@ def make_backend(jobs: int | None) -> EvaluationBackend:
 
 # -- the engine --------------------------------------------------------------
 
-#: Bound on the predict_point prefix-trace cache.  Pruning strategies use a
+#: Bound on the predict_point prefix-engine cache.  Pruning strategies use a
 #: handful of fractions at most; anything past this is a leak, not a working
 #: set, so the least recently used prefix is evicted.
 _PREFIX_TRACE_LIMIT = 8
@@ -585,11 +585,12 @@ class ExplorationEngine:
         self.store_hits = 0
         self.store_misses = 0
         self._fingerprint: str | None = None
-        # Prefix traces used by predict_point, keyed by event count and
-        # LRU-bounded (see _PREFIX_TRACE_LIMIT), so pruning does not
-        # recompile the same prefix for every candidate yet a long sweep
-        # over many distinct fractions cannot grow memory without bound.
-        self._prefix_traces: OrderedDict[int, AllocationTrace] = OrderedDict()
+        # Batch replay engines over the prefix traces predict_point scores,
+        # keyed by event count and LRU-bounded (see _PREFIX_TRACE_LIMIT):
+        # candidates share the prefix's compiled form and its pool-group
+        # simulations, yet a long sweep over many distinct fractions cannot
+        # grow memory without bound.
+        self._prefix_traces: OrderedDict[int, BatchReplayEngine] = OrderedDict()
         # Lazily-built batch replay engine shared by every run_points call
         # (see _batch_engine); dropped from pickles, rebuilt per process.
         self._batch: BatchReplayEngine | None = None
@@ -691,15 +692,7 @@ class ExplorationEngine:
         and parallel dispatch go through :meth:`evaluate_points`.
         """
         configuration = self.configuration_for(point, label=label)
-        built = self.factory.build(configuration)
-        profiler = Profiler(
-            built.mapping,
-            energy_model=self.energy_model,
-            options=ProfilerOptions(
-                payload_access_factor=self.settings.payload_access_factor
-            ),
-        )
-        profile = profiler.run(built.allocator, self.trace, configuration.configuration_id)
+        profile = self._profile_single(configuration, self.trace)
         oom_failures = int(
             profile.per_pool.get("__profile__", {}).get("oom_failures", 0)
         )
@@ -709,6 +702,20 @@ class ExplorationEngine:
             trace_name=self.trace.name,
             oom_failures=oom_failures,
         )
+
+    def _profile_single(
+        self, configuration: AllocatorConfiguration, trace: AllocationTrace
+    ) -> ProfileResult:
+        """One-shot :meth:`Profiler.run` of ``configuration`` over ``trace``."""
+        built = self.factory.build(configuration)
+        profiler = Profiler(
+            built.mapping,
+            energy_model=self.energy_model,
+            options=ProfilerOptions(
+                payload_access_factor=self.settings.payload_access_factor
+            ),
+        )
+        return profiler.run(built.allocator, trace, configuration.configuration_id)
 
     def _batch_engine(self) -> BatchReplayEngine:
         """The engine's shared batch replay kernel (rebuilt when stale).
@@ -914,31 +921,38 @@ class ExplorationEngine:
         all candidates are bounded on the same prefix, partial vectors are
         also comparable with each other as a dominance surrogate.  A prefix
         that already fails allocations proves the full replay infeasible.
+
+        The prefix is scored by a :class:`BatchReplayEngine` cached per
+        prefix length, so candidates share its pool-group simulations; with
+        ``settings.batch_replay`` off each candidate takes a one-shot replay
+        of the prefix instead.  Both give the same vector.
         """
         if not 0.0 < fraction <= 1.0:
             raise ValueError(f"prediction fraction must be in (0, 1], got {fraction}")
         keys = list(metrics or self.settings.metrics)
         count = max(1, int(len(self.trace) * fraction))
-        prefix = self._prefix_traces.get(count)
-        if prefix is None:
+        factor = self.settings.payload_access_factor
+        engine = self._prefix_traces.pop(count, None)
+        if engine is None or engine.options.payload_access_factor != factor:
+            # A changed payload factor is baked into the engine's cached
+            # simulations, so it means a new engine (as in _batch_engine).
             prefix = AllocationTrace(
                 events=self.trace.events[:count], name=self.trace.name
             )
+            engine = BatchReplayEngine(
+                prefix,
+                self.factory,
+                energy_model=self.energy_model,
+                options=ProfilerOptions(payload_access_factor=factor),
+            )
             while len(self._prefix_traces) >= _PREFIX_TRACE_LIMIT:
                 self._prefix_traces.popitem(last=False)
-            self._prefix_traces[count] = prefix
-        else:
-            self._prefix_traces.move_to_end(count)
+        self._prefix_traces[count] = engine
         configuration = self.configuration_for(point)
-        built = self.factory.build(configuration)
-        profiler = Profiler(
-            built.mapping,
-            energy_model=self.energy_model,
-            options=ProfilerOptions(
-                payload_access_factor=self.settings.payload_access_factor
-            ),
-        )
-        profile = profiler.run(built.allocator, prefix, configuration.configuration_id)
+        if self.settings.batch_replay:
+            profile = engine.run_configuration(configuration)
+        else:
+            profile = self._profile_single(configuration, engine.trace)
         oom_failures = int(
             profile.per_pool.get("__profile__", {}).get("oom_failures", 0)
         )

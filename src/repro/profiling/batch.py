@@ -39,19 +39,27 @@ and the same dedicated-size set share the general pool's entire replay.
   :class:`~repro.profiling.metrics.ProfileResult` exactly as the
   single-replay paths do.
 
+A dedicated pool that runs out of capacity mid-trace *spills* the request
+to the general pool, and the spill is still static.  A strict dedicated
+pool sees its size's whole allocation stream first, whatever the general
+pool does, and a failed ``FixedSizePool``/``SlabPool.allocate`` leaves the
+pool's state untouched (it only charges ``stats.failed_allocs``, plus the
+slab's list-head read).  Which slots spill is therefore a function of the
+dedicated group key alone: the group simulation records them, and the
+general pool's stream for a configuration is its spill-free stream with
+the spilled allocations and their frees merged back in trace order.  The
+general group key carries the spilled dedicated keys, so configurations
+that spill the same way still share one general simulation.
+
 Byte identity with the single fast replay and the legacy event loop is the
 contract (``tests/test_batch_replay.py`` enforces it across the standard
-spaces).  Configurations the batch kernel cannot express fall back to a
-single replay per configuration:
-
-* a dedicated pool that runs out of capacity mid-trace would *spill* to the
-  general pool from that event on, entangling the two streams — the group
-  is marked diverged and every configuration referencing it takes the
-  single-replay path (:meth:`BatchReplayEngine._run_single`);
-* non-standard pool stacks (anything but strict fixed/slab pools in front
-  of an unbounded general pool), profiler options that observe per-event
-  state (``fail_on_oom``, ``track_footprint_timeline``), traces with live
-  request-id rebinding, and ``fast_replay=False`` all defer likewise.
+spaces, spilling hierarchies included).  Only configurations the stream
+partition cannot express fall back to a single replay per configuration
+(:meth:`BatchReplayEngine._run_single`): non-standard pool stacks (anything
+but strict fixed/slab pools in front of an unbounded general pool),
+profiler options that observe per-event state (``fail_on_oom``,
+``track_footprint_timeline``), traces with live request-id rebinding, and
+``fast_replay=False``.
 
 The general-pool kernel replicates :class:`~repro.allocator.pool
 .GeneralPool` counter-for-counter on flat integers: fit-scan visit counts,
@@ -185,7 +193,7 @@ class _GroupResult:
     """Final state of one shared pool-group simulation."""
 
     __slots__ = (
-        "stats", "payload", "dispatch", "oom", "live", "touched", "diverged", "brk"
+        "stats", "payload", "dispatch", "oom", "live", "touched", "spilled", "brk"
     )
 
     def __init__(
@@ -196,7 +204,7 @@ class _GroupResult:
         oom: int = 0,
         live: int = 0,
         touched: bool = False,
-        diverged: bool = False,
+        spilled: bytearray | None = None,
         brk: int = 0,
     ) -> None:
         self.stats = stats
@@ -205,7 +213,10 @@ class _GroupResult:
         self.oom = oom
         self.live = live
         self.touched = touched
-        self.diverged = diverged
+        #: Dedicated groups only: a per-slot bitmap of the allocations that
+        #: ran out of capacity and spill to the general pool (``None``
+        #: when the pool never overflowed).
+        self.spilled = spilled
         #: Final backing-store break (the address space's high-water mark).
         #: Growth only ever advances it, so a capacity at least this large
         #: can never have altered the run — the capacity-sharing criterion.
@@ -909,37 +920,64 @@ class BatchReplayEngine:
             self._size_streams_cache = streams
         return streams
 
-    def _general_stream(self, dedicated_sizes: frozenset[int]) -> _StreamInfo:
-        """Events the general pool sees under ``dedicated_sizes`` (cached)."""
-        info = self._general_streams.get(dedicated_sizes)
-        if info is None:
-            codes: list[int] = []
-            append = codes.append
-            compiled = self.compiled
-            sizes = compiled.sizes
-            slots = compiled.slots
-            slot_sizes = compiled.slot_sizes
-            factor = self.options.payload_access_factor
-            payload = 0.0
-            pos_allocs = 0
-            size0_allocs = 0
-            for index, kind in enumerate(compiled.kinds):
-                if kind:
-                    size = sizes[index]
-                    if size not in dedicated_sizes:
-                        append(slots[index])
-                        if size > 0:
-                            payload += size * factor
-                            pos_allocs += 1
-                        else:
-                            size0_allocs += 1
-                else:
-                    slot = slots[index]
-                    if slot >= 0 and slot_sizes[slot] not in dedicated_sizes:
-                        append(~slot)
-            info = _StreamInfo(codes, payload, pos_allocs, size0_allocs)
-            self._general_streams[dedicated_sizes] = info
-        return info
+    def _general_stream(self, dedicated_sizes: frozenset[int], spills: tuple) -> _StreamInfo:
+        """Events the general pool sees under ``dedicated_sizes``.
+
+        ``spills`` names the dedicated groups that overflow: their spilled
+        allocations (and the frees of those) join the general pool's stream
+        in trace order.  Spill-free streams are cached per size set; a
+        spill-keyed stream is rebuilt for each simulation that needs it
+        rather than cached, since there can be one per spill signature.
+        """
+        if not spills:
+            info = self._general_streams.get(dedicated_sizes)
+            if info is None:
+                info = self._build_general_stream(dedicated_sizes, None)
+                self._general_streams[dedicated_sizes] = info
+            return info
+        # Each bitmap marks slots of its own block size only, so their union
+        # is a plain bitwise OR.
+        merged = 0
+        for key in spills:
+            merged |= int.from_bytes(self._dedicated_cache[key].spilled, "little")
+        spilled = merged.to_bytes(self.compiled.slot_count, "little")
+        return self._build_general_stream(dedicated_sizes, spilled)
+
+    def _build_general_stream(
+        self, dedicated_sizes: frozenset[int], spilled: bytes | None
+    ) -> _StreamInfo:
+        """One pass over the compiled columns: the general pool's codes
+        (sizes outside ``dedicated_sizes``, plus the slots ``spilled``
+        marks) and their totals."""
+        codes: list[int] = []
+        append = codes.append
+        compiled = self.compiled
+        sizes = compiled.sizes
+        slots = compiled.slots
+        slot_sizes = compiled.slot_sizes
+        factor = self.options.payload_access_factor
+        payload = 0.0
+        pos_allocs = 0
+        size0_allocs = 0
+        for index, kind in enumerate(compiled.kinds):
+            if kind:
+                size = sizes[index]
+                slot = slots[index]
+                if size not in dedicated_sizes or (spilled is not None and spilled[slot]):
+                    append(slot)
+                    if size > 0:
+                        payload += size * factor
+                        pos_allocs += 1
+                    else:
+                        size0_allocs += 1
+            else:
+                slot = slots[index]
+                if slot >= 0 and (
+                    slot_sizes[slot] not in dedicated_sizes
+                    or (spilled is not None and spilled[slot])
+                ):
+                    append(~slot)
+        return _StreamInfo(codes, payload, pos_allocs, size0_allocs)
 
     # -- group simulations -------------------------------------------------
 
@@ -953,10 +991,13 @@ class BatchReplayEngine:
         break only ever advances, so any placement capacity at least the
         final break would have replayed byte-identically and shares the
         cached result.  Only genuinely overflowing capacities re-run
-        bounded; an :class:`OutOfMemoryError` there means the real run
-        would spill this pool's overflow into the general pool mid-trace —
-        inexpressible as independent streams — so the group is marked
-        diverged and its configurations fall back.
+        bounded.  An :class:`OutOfMemoryError` there is a spill: the real
+        allocator hands that request to the general pool.  The simulation
+        marks the slot in the group's ``spilled`` bitmap and carries on —
+        the failed allocate left the pool untouched but for its
+        ``failed_allocs`` charge — and the spilled allocation and its free
+        count towards the general pool's dispatch and payload, not this
+        pool's.
         """
         result = self._dedicated_cache.get(key)
         if result is not None:
@@ -981,31 +1022,37 @@ class BatchReplayEngine:
         payload = 0.0
         dispatch = 0
         successes = 0
-        diverged = False
+        spilled: bytearray | None = None
         address_of: dict[int, int] = {}
         stream = self._size_streams().get(block_size)
         if stream:
             allocate = pool.allocate
             release = pool.free
             for code in stream:
-                dispatch += 1
                 if code >= 0:
                     try:
                         address_of[code] = allocate(block_size)
                     except OutOfMemoryError:
-                        diverged = True
-                        break
+                        if spilled is None:
+                            spilled = bytearray(self.compiled.slot_count)
+                        spilled[code] = 1
+                        continue
+                    dispatch += 1
                     payload += block_size * factor
                     successes += 1
                 else:
-                    release(address_of.pop(~code))
+                    address = address_of.pop(~code, None)
+                    if address is None:
+                        continue  # a spilled allocation: freed by the general pool
+                    dispatch += 1
+                    release(address)
         result = _GroupResult(
             stats=pool.stats,
             payload=payload,
             dispatch=dispatch,
             live=len(address_of),
             touched=successes > 0,
-            diverged=diverged,
+            spilled=spilled,
             brk=space.used,
         )
         self._dedicated_cache[key] = result
@@ -1035,7 +1082,7 @@ class BatchReplayEngine:
         return bounded
 
     def _run_general(self, key: tuple, capacity: int | None) -> _GroupResult:
-        dedicated_sizes, free_list, fit, coalescing, splitting, chunk_size = key
+        dedicated_sizes, spills, free_list, fit, coalescing, splitting, chunk_size = key
         return _simulate_general(
             free_list,
             fit,
@@ -1043,7 +1090,7 @@ class BatchReplayEngine:
             splitting,
             chunk_size,
             capacity,
-            self._general_stream(dedicated_sizes),
+            self._general_stream(dedicated_sizes, spills),
             self.compiled.slot_sizes,
             self.options.payload_access_factor,
         )
@@ -1053,9 +1100,13 @@ class BatchReplayEngine:
     def _plan(self, configuration: "AllocatorConfiguration"):
         """Group keys (and the mapping) for a batchable configuration.
 
-        Returns ``None`` when the configuration or the profiling options
-        fall outside what the stream partition can express, sending the
-        caller down the single-replay path.
+        Returns ``(mapping, dedicated, general)``: ``(pool name, group
+        key)`` per dedicated pool, and for the general pool its name, its
+        group key without the spill component (known only once the
+        dedicated groups have run) and its capacity.  Returns ``None``
+        when the configuration or the profiling options fall outside what
+        the stream partition can express, sending the caller down the
+        single-replay path.
         """
         options = self.options
         if (
@@ -1085,7 +1136,7 @@ class BatchReplayEngine:
             seen.add(spec.block_size)
         mapping = self.factory.build_mapping(configuration)
         placements = mapping.placements
-        entries: list[tuple[bool, str, tuple, int | None]] = []
+        dedicated: list[tuple[str, tuple]] = []
         for spec in pools[:-1]:
             capacity = placements[spec.name].reserved_bytes
             if spec.kind == "slab":
@@ -1095,25 +1146,17 @@ class BatchReplayEngine:
                 slab_bytes = max(spec.chunk_size, 1024, gross_block_size(spec.block_size) * 4)
             else:
                 slab_bytes = 0  # FixedSizePool ignores the chunk setting
-            entries.append(
-                (True, spec.name, (spec.kind, spec.block_size, slab_bytes, capacity), None)
-            )
-        entries.append(
-            (
-                False,
-                general.name,
-                (
-                    frozenset(seen),
-                    general.free_list,
-                    general.fit,
-                    general.coalescing,
-                    general.splitting,
-                    general.chunk_size,
-                ),
-                placements[general.name].reserved_bytes,
-            )
+            dedicated.append((spec.name, (spec.kind, spec.block_size, slab_bytes, capacity)))
+        general_key = (
+            frozenset(seen),
+            general.free_list,
+            general.fit,
+            general.coalescing,
+            general.splitting,
+            general.chunk_size,
         )
-        return mapping, entries
+        general_entry = (general.name, general_key, placements[general.name].reserved_bytes)
+        return mapping, dedicated, general_entry
 
     def _run_single(self, configuration: "AllocatorConfiguration") -> ProfileResult:
         """Per-configuration fallback: build real pools, single replay."""
@@ -1127,19 +1170,25 @@ class BatchReplayEngine:
         plan = self._plan(configuration)
         if plan is None:
             return self._run_single(configuration)
-        mapping, entries = plan
+        mapping, dedicated, (general_name, general_key, capacity) = plan
+        groups: list[tuple[str, _GroupResult]] = []
+        spills: list[tuple] = []
+        for name, key in dedicated:
+            group = self._dedicated_result(key)
+            if group.spilled is not None:
+                spills.append(key)
+            groups.append((name, group))
+        # The general stream depends on which dedicated groups spill; sort
+        # their keys so configurations listing the same pools in another
+        # order still share one general simulation.
+        general_key = (general_key[0], tuple(sorted(spills))) + general_key[1:]
+        groups.append((general_name, self._general_result(general_key, capacity)))
         shims: list[_ShimPool] = []
         payload_by_pool: dict[str, float] = {}
         dispatch = 0
         live_blocks = 0
         oom_failures = 0
-        for is_dedicated, name, key, capacity in entries:
-            if is_dedicated:
-                group = self._dedicated_result(key)
-                if group.diverged:
-                    return self._run_single(configuration)
-            else:
-                group = self._general_result(key, capacity)
+        for name, group in groups:
             shims.append(_ShimPool(name, group.stats))
             if group.touched:
                 payload_by_pool[name] = group.payload

@@ -6,8 +6,10 @@ every :class:`~repro.profiling.metrics.ProfileResult` is *exactly* what the
 single fast replay — and through ``tests/test_fast_replay.py``'s own
 contract, the legacy event loop — would have produced.  This file holds the
 kernel to that across every standard space and workload, through the
-exploration engine and both backends, for the mid-trace OOM fallback, and
-for the shared-memory trace shipping of the process pool.
+exploration engine and both backends, for dedicated pools that spill into
+the general pool mid-trace (with no fallback to a single replay), for the
+prefix predictions of ``ExplorationEngine.predict_point``, and for the
+shared-memory trace shipping of the process pool.
 """
 
 import json
@@ -28,6 +30,7 @@ from repro.core.store import ResultStore
 from repro.memhier.hierarchy import embedded_two_level
 from repro.profiling.batch import BatchReplayEngine
 from repro.profiling.profiler import Profiler, ProfilerOptions
+from repro.profiling.tracer import AllocationTrace
 from repro.workloads.easyport import EasyportWorkload
 from repro.workloads.synthetic import PhasedWorkload, UniformRandomWorkload
 from repro.workloads.vtc import VTCWorkload
@@ -134,14 +137,14 @@ class TestKernelIdentityAcrossPolicies:
 
 
 class TestOOMFallback:
-    """Dedicated-pool capacity divergence mid-trace → per-config fallback."""
+    """Dedicated-pool capacity spills mid-trace, simulated by the batch kernel."""
 
     def test_diverged_groups_fall_back_identically(self):
         trace = EasyportWorkload(packets=400).generate(seed=7)
         # Scratchpad small enough that dedicated pools overflow mid-trace
-        # and spill to the general pool — inexpressible for the stream
-        # partition, so those configurations must take the single-replay
-        # path and still match both oracles.
+        # and spill to the general pool.  The kernel merges the spilled
+        # allocations into the general pool's stream, so those
+        # configurations stay batched and still match both oracles.
         hierarchy = embedded_two_level(scratchpad_size=2048, main_size=16384)
         engine = BatchReplayEngine(trace, AllocatorFactory(hierarchy))
         space = STANDARD_SPACES["default"]()
@@ -152,9 +155,102 @@ class TestOOMFallback:
             legacy = single_replay(trace, configuration, hierarchy, fast=False)
             assert result_bytes(batch) == result_bytes(fast)
             assert result_bytes(batch) == result_bytes(legacy)
-        assert engine.fallback_configurations > 0, (
-            "OOM divergence never triggered; shrink the hierarchy"
+        assert spilled_groups(engine) > 0, (
+            "no dedicated group spilled; shrink the hierarchy"
         )
+        assert engine.fallback_configurations == 0
+
+
+def spilled_groups(engine):
+    return sum(
+        1 for group in engine._dedicated_cache.values() if group.spilled is not None
+    )
+
+
+#: Traces for the spill sweep: long enough that a 2 KiB scratchpad overflows.
+SPILL_TRACES = {
+    "easyport": lambda: EasyportWorkload(packets=400).generate(seed=7),
+    "vtc": lambda: VTCWorkload(image_width=24, image_height=24).generate(seed=7),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(SPILL_TRACES))
+def spill_trace(request):
+    return request.param, SPILL_TRACES[request.param]()
+
+
+class TestSpillIdentity:
+    """Spilling dedicated pools: batch == fast == legacy, never a fallback."""
+
+    @pytest.mark.parametrize("main_size", [16384, 6144, 3072])
+    def test_spills_match_both_oracles(self, spill_trace, main_size):
+        _name, trace = spill_trace
+        hierarchy = embedded_two_level(scratchpad_size=2048, main_size=main_size)
+        engine = BatchReplayEngine(trace, AllocatorFactory(hierarchy))
+        space = STANDARD_SPACES["default"]()
+        general_failures = 0
+        for index, point in enumerate(space.sample(40, seed=2)):
+            configuration = configuration_of(trace, point, hierarchy, f"s{index}")
+            batch = engine.run_configuration(configuration)
+            fast = single_replay(trace, configuration, hierarchy)
+            legacy = single_replay(trace, configuration, hierarchy, fast=False)
+            assert result_bytes(batch) == result_bytes(fast), point
+            assert result_bytes(batch) == result_bytes(legacy), point
+            if batch.per_pool["__profile__"]["oom_failures"]:
+                pools = [
+                    stats for name, stats in batch.per_pool.items()
+                    if not name.startswith("__")
+                ]
+                if pools[-1]["failed_allocs"] and any(
+                    stats["failed_allocs"] for stats in pools[:-1]
+                ):
+                    general_failures += 1
+        assert spilled_groups(engine) > 0
+        assert engine.fallback_configurations == 0
+        if main_size == 3072:
+            # Spilled allocations also fail in the general pool.
+            assert general_failures > 0
+
+    def test_all_general_policies_over_one_spill(self):
+        trace = EasyportWorkload(packets=400).generate(seed=7)
+        # Four fixed pools overflow a 2 KiB scratchpad, while the main
+        # memory is large enough that every spill lands in the general pool
+        # and each policy combination exercises its own free-list path.
+        hierarchy = embedded_two_level(scratchpad_size=2048, main_size=65536)
+        engine = BatchReplayEngine(trace, AllocatorFactory(hierarchy))
+        from repro.allocator.coalescing import COALESCING_POLICIES
+        from repro.allocator.fit import FIT_POLICIES
+        from repro.allocator.freelist import FREE_LIST_POLICIES
+        from repro.allocator.splitting import SPLITTING_POLICIES
+
+        count = 0
+        for free_list in sorted(FREE_LIST_POLICIES):
+            for fit in sorted(FIT_POLICIES):
+                for coalescing in sorted(COALESCING_POLICIES):
+                    for splitting in sorted(SPLITTING_POLICIES):
+                        point = {
+                            "num_dedicated_pools": 4,
+                            "dedicated_pool_kind": "fixed",
+                            "dedicated_pool_placement": "scratchpad",
+                            "general_free_list": free_list,
+                            "general_fit": fit,
+                            "general_coalescing": coalescing,
+                            "general_splitting": splitting,
+                            "chunk_size": 2048,
+                        }
+                        configuration = configuration_of(
+                            trace, point, hierarchy, f"c{count}"
+                        )
+                        batch = engine.run_configuration(configuration)
+                        fast = single_replay(trace, configuration, hierarchy)
+                        legacy = single_replay(
+                            trace, configuration, hierarchy, fast=False
+                        )
+                        assert result_bytes(batch) == result_bytes(fast), point
+                        assert result_bytes(batch) == result_bytes(legacy), point
+                        count += 1
+        assert spilled_groups(engine) > 0
+        assert engine.fallback_configurations == 0
 
 
 class TestEngineLevelIdentity:
@@ -292,3 +388,64 @@ class TestPrefixTraceCacheBound:
         cached = dict(engine._prefix_traces)
         engine.predict_point(point, fraction=0.25)
         assert dict(engine._prefix_traces) == cached  # same objects, no rebuild
+
+
+class TestPredictPointIdentity:
+    """Prefix predictions come from the batch engine, identical to a replay."""
+
+    @pytest.mark.parametrize("fraction", [0.1, 0.25, 0.5])
+    @pytest.mark.parametrize("scratchpad_size", [None, 2048])
+    def test_prediction_matches_prefix_replay(self, fraction, scratchpad_size):
+        trace = EasyportWorkload(packets=200).generate(seed=5)
+        hierarchy = (
+            embedded_two_level()
+            if scratchpad_size is None
+            else embedded_two_level(scratchpad_size=scratchpad_size, main_size=16384)
+        )
+        space = STANDARD_SPACES["default"]()
+        engine = ExplorationEngine(space, trace, hierarchy=hierarchy)
+        count = max(1, int(len(trace) * fraction))
+        prefix = AllocationTrace(events=trace.events[:count], name=trace.name)
+        keys = list(engine.settings.metrics)
+        for point in space.sample(12, seed=3):
+            vector, oom_failures = engine.predict_point(point, fraction=fraction)
+            configuration = engine.configuration_for(point)
+            for fast in (True, False):
+                profile = single_replay(prefix, configuration, hierarchy, fast=fast)
+                assert vector == profile.totals.values(keys), point
+                assert oom_failures == profile.per_pool["__profile__"]["oom_failures"]
+        prefix_engine = engine._prefix_traces[count]
+        assert prefix_engine.batched_configurations == 12
+        assert prefix_engine.fallback_configurations == 0
+
+    def test_batch_replay_off_predicts_identically(self):
+        trace = EasyportWorkload(packets=200).generate(seed=5)
+        space = STANDARD_SPACES["default"]()
+        batched = ExplorationEngine(space, trace)
+        single = ExplorationEngine(
+            space, trace, settings=ExplorationSettings(batch_replay=False)
+        )
+        for point in space.sample(8, seed=4):
+            assert batched.predict_point(point) == single.predict_point(point)
+        assert next(iter(single._prefix_traces.values())).batched_configurations == 0
+
+    def test_payload_factor_change_rebuilds_prefix_engine(self):
+        trace = EasyportWorkload(packets=200).generate(seed=5)
+        space = STANDARD_SPACES["smoke"]()
+        engine = ExplorationEngine(space, trace)
+        point = next(iter(space.points()))
+        before = engine.predict_point(point, fraction=0.25)
+        (count, stale), = engine._prefix_traces.items()
+        engine.settings.payload_access_factor = 5.0
+        after = engine.predict_point(point, fraction=0.25)
+        fresh = engine._prefix_traces[count]
+        assert fresh is not stale
+        assert len(engine._prefix_traces) == 1
+        assert fresh.options.payload_access_factor == 5.0
+        assert after != before
+        configuration = engine.configuration_for(point)
+        built = AllocatorFactory(engine.hierarchy).build(configuration)
+        profile = Profiler(
+            built.mapping, options=ProfilerOptions(payload_access_factor=5.0)
+        ).run(built.allocator, fresh.trace, configuration.configuration_id)
+        assert after[0] == profile.totals.values(list(engine.settings.metrics))
